@@ -40,7 +40,6 @@ from .geometry import (
     berwald_coefficients,
     connection,
     connection_general,
-    connection_germs,
     curvature,
     geometry_report,
     hamiltonian_vector_field,
@@ -136,7 +135,6 @@ __all__ = [
     "hamiltonian_vector_field",
     "connection",
     "connection_general",
-    "connection_germs",
     "adapted_derivative",
     "curvature",
     "jacobi_endomorphism",

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -34,7 +35,7 @@ from . import symmetry as sym
 from .errors import ManifestError, RegularityError
 from .expr import Const, VectorFieldSpec, to_text
 from .manifest import Manifest, load_manifest
-from .selftest import run_checks
+from .selftest import result_lines, run_checks
 
 __all__ = ["CONVENTIONS", "main", "main_entry"]
 
@@ -65,6 +66,18 @@ _EXIT_REGULARITY_ERROR = 3
 
 class _RegularityExit(Exception):
     """Internal: a regularity failure already formatted for the user."""
+
+
+@contextmanager
+def _regular_at(label: str, point):
+    """Turn a regularity failure inside the block into a :class:`_RegularityExit`
+    that names the point."""
+    try:
+        yield
+    except RegularityError as exc:
+        raise _RegularityExit(
+            f"{label} at {_vector_text(point.flat)}: {exc}"
+        ) from exc
 
 
 # --------------------------------------------------------------------------
@@ -135,12 +148,8 @@ def _verdict(report, check, subject, value, tolerance, passed) -> bool:
 def _cmd_report(manifest: Manifest, args, report: dict) -> int:
     tol = manifest.tolerance("horizontality", args.tol_scale)
     for name, point in _pick(manifest.points, args.points, "point"):
-        try:
+        with _regular_at(f"point {name!r}", point):
             block = geo.geometry_report(manifest.hamiltonian, point, tol)
-        except RegularityError as exc:
-            raise _RegularityExit(
-                f"point {name!r} at {_vector_text(point.flat)}: {exc}"
-            ) from exc
 
         print(
             f"point {name!r}: x = {_vector_text(point.x)}, "
@@ -240,7 +249,8 @@ def _cmd_symmetry(manifest: Manifest, args, report: dict) -> int:
             worst = -1.0
             worst_point = None
             for point in points:
-                value = measure(full, point)
+                with _regular_at("sample point", point):
+                    value = measure(full, point)
                 if value > worst:
                     worst, worst_point = value, point
             passed = worst <= tol
@@ -277,9 +287,10 @@ def _cmd_lift(manifest: Manifest, args, report: dict) -> int:
             print(f"field {name!r} (full): Newtonoid completion")
             block = {"kind": "full", "lift_at_points": {}}
             for pname, point in manifest.points.items():
-                values, vertical = sym.newtonoid_lift(
-                    ham, field.x_components, point
-                )
+                with _regular_at(f"point {pname!r}", point):
+                    values, vertical = sym.newtonoid_lift(
+                        ham, field.x_components, point
+                    )
                 print(
                     f"  at point {pname!r}: x-components {_vector_text(values)}"
                     f" -> vertical completion {_vector_text(vertical)}"
@@ -288,14 +299,11 @@ def _cmd_lift(manifest: Manifest, args, report: dict) -> int:
                     "x": values.tolist(),
                     "vertical": vertical.tolist(),
                 }
-            worst = max(
-                float(
-                    np.max(
-                        np.abs(sym.newtonoid_invariant_residual(ham, field, pt))
-                    )
-                )
-                for pt in points
-            )
+            worst = 0.0
+            for pt in points:
+                with _regular_at("sample point", pt):
+                    residual = sym.newtonoid_invariant_residual(ham, field, pt)
+                worst = max(worst, float(np.max(np.abs(residual))))
             passed = worst <= invariant_tol
             status = "PASS" if passed else "FAIL"
             print(
@@ -413,14 +421,9 @@ def _cmd_integrate(manifest: Manifest, args, report: dict) -> int:
 
 def _cmd_selftest(args, report: dict) -> int:
     results = run_checks(args.tol_scale)
-    failed = 0
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        line = f"{status}  {result.name}: {result.detail}"
-        if not result.passed and result.expected_failure:
-            line += "  [known discrepancy, see README]"
+    for line in result_lines(results):
         print(line)
-        failed += not result.passed
+    for result in results:
         report["verdicts"].append(
             {
                 "check": result.name,
@@ -430,8 +433,9 @@ def _cmd_selftest(args, report: dict) -> int:
                 "expected_failure": result.expected_failure,
             }
         )
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return _EXIT_PASS if failed == 0 else _EXIT_CHECK_FAILURE
+    if all(result.passed for result in results):
+        return _EXIT_PASS
+    return _EXIT_CHECK_FAILURE
 
 
 # --------------------------------------------------------------------------

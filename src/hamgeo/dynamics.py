@@ -23,10 +23,7 @@ from .errors import DimensionError
 from .expr import (
     Expression,
     HamiltonianSpec,
-    Var,
     _compile_float,
-    _differentiate,
-    _neg,
     hamiltonian_field_spec,
 )
 from .geometry import berwald_vs_nabla, nabla_vector_field
@@ -77,11 +74,11 @@ class Trajectory:
 @lru_cache(maxsize=None)
 def _compiled_rhs(ham: HamiltonianSpec):
     """One compiled function returning all 2n flow components."""
-    n = ham.dim
-    components = [
-        _differentiate(ham.expr, Var("p", i + 1)) for i in range(n)
-    ] + [_neg(_differentiate(ham.expr, Var("x", i + 1))) for i in range(n)]
-    compiled = [_compile_float(c, n) for c in components]
+    spec = hamiltonian_field_spec(ham)
+    compiled = [
+        _compile_float(c, ham.dim)
+        for c in spec.x_components + spec.p_components
+    ]
 
     def rhs(flat):
         return [f(*flat) for f in compiled]

@@ -7,21 +7,25 @@ the coefficients of the dynamical covariant derivative, and the Berwald
 connection coefficients, together with the residuals of the tensor
 identities those objects satisfy.
 
-All derivatives come from one nested-jet evaluation per (Hamiltonian,
-point) pair: an order-3 jet whose coefficients are order-1 jets, which
-exposes exact fourth derivatives.  Intermediate quantities such as the
-connection are carried as order-1 or order-2 jets ("germs") so that their
-own derivatives are again exact, never finite differences.
+All derivatives of H come from one nested-jet evaluation per
+(Hamiltonian, point) pair, an order-3 jet whose coefficients are order-1
+jets.  It is unpacked at once into dense float tensors: the gradient, the
+Hessian, the third derivatives and the fourth derivatives
+d4H/dp_i dp_j dz dw.  Every other object is a closed-form tensor formula
+in those, evaluated with ``einsum`` and ``@``; the derivatives of the
+metric follow from d(G^-1) = -G^-1 dG G^-1, so they are exact, never
+finite differences.
 
 Index conventions (0-based slots): x^i is slot i, p_i is slot n+i.
-A[k][j] = d2H/dp_k dx^j, B[i][j] = d2H/dx^i dx^j, G[i][j] = d2H/dp_i dp_j.
+A[k][j] = d2H/dp_k dx^j, B[i][j] = d2H/dx^i dx^j, G[i][j] = d2H/dp_i dp_j,
+L = G^-1.  A leading axis z on a tensor's derivative holds d/d(slot z):
+dG[z][i][j] = dG_ij/d(slot z), d2L[z][w][i][j] = d2L_ij/d(slot z)d(slot w).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +42,6 @@ __all__ = [
     "hamiltonian_vector_field",
     "connection",
     "connection_general",
-    "connection_germs",
     "adapted_derivative",
     "curvature",
     "jacobi_endomorphism",
@@ -58,73 +61,34 @@ __all__ = [
 RCOND_FLOOR = 1e-12
 
 
-# --------------------------------------------------------------------------
-# small-ring linear algebra: entries are floats or jets
+def _rcond(matrix: np.ndarray) -> float:
+    singular_values = np.linalg.svd(matrix, compute_uv=False)
+    top = float(singular_values[0])
+    if top == 0.0:
+        return 0.0
+    return float(singular_values[-1]) / top
 
 
-def _as_jet(value, m: int, order: int) -> Jet:
-    if isinstance(value, Jet):
-        return value
-    return Jet.constant(float(value), m, order)
+def _lanes(coeffs: np.ndarray, m: int):
+    """Float value and slope lanes of dense nested-jet coefficients.
 
-
-def _ring_matmul(left, right):
-    n, k, c = len(left), len(right), len(right[0])
-    return [
-        [sum(left[i][t] * right[t][j] for t in range(k)) for j in range(c)]
-        for i in range(n)
-    ]
-
-
-def _pivot_size(value) -> float:
-    while isinstance(value, Jet):
-        value = value.c0
-    return abs(float(value))
-
-
-def _ring_inverse(matrix):
-    """Gauss-Jordan inverse with partial pivoting over a commutative ring.
-
-    Entries may be floats or jets; pivots are chosen by the magnitude of
-    the underlying float value.  Callers are expected to have screened the
-    float matrix for conditioning already.
+    Each entry is an order-1 inner jet, or a plain float where the inner
+    jet is constant; slopes get one trailing axis of length m.
     """
-    n = len(matrix)
-    work = [list(row) for row in matrix]
-    one, zero = 1.0, 0.0
-    inverse = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: _pivot_size(work[r][col]))
-        if _pivot_size(work[pivot_row][col]) == 0.0:
-            raise RegularityError("matrix not invertible", rcond=0.0)
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inverse[col], inverse[pivot_row] = inverse[pivot_row], inverse[col]
-        pivot = work[col][col]
-        for j in range(n):
-            work[col][j] = work[col][j] / pivot
-            inverse[col][j] = inverse[col][j] / pivot
-        for row in range(n):
-            if row == col:
-                continue
-            factor = work[row][col]
-            for j in range(n):
-                work[row][j] = work[row][j] - factor * work[col][j]
-                inverse[row][j] = inverse[row][j] - factor * inverse[col][j]
-    return inverse
+    values = np.empty(coeffs.shape)
+    slopes = np.zeros(coeffs.shape + (m,))
+    for idx, entry in np.ndenumerate(coeffs):
+        if isinstance(entry, Jet):
+            values[idx] = entry.c0
+            slopes[idx] = entry.c1
+        else:
+            values[idx] = entry
+    return values, slopes
 
 
-def _c0_array(rows) -> np.ndarray:
-    def value(entry):
-        return float(entry.c0) if isinstance(entry, Jet) else float(entry)
-
-    return np.array([[value(e) for e in row] for row in rows])
-
-
-def _slope(entry, z: int) -> float:
-    """d(entry)/d(slot z) for a germ entry that may have decayed to a float."""
-    if isinstance(entry, Jet):
-        return float(entry.c1[z])
-    return 0.0
+def _inverse_derivatives(inv: np.ndarray, d_mat: np.ndarray) -> np.ndarray:
+    """d(M^-1)[z] = -M^-1 dM[z] M^-1 for stacked slopes dM[z]."""
+    return -(inv @ d_mat @ inv)
 
 
 # --------------------------------------------------------------------------
@@ -132,10 +96,10 @@ def _slope(entry, z: int) -> float:
 
 
 class _Workspace:
-    """All tensors of one Hamiltonian at one point, computed lazily.
+    """All tensors of one Hamiltonian at one point.
 
-    Float matrices are the value lanes of the corresponding germ matrices,
-    so every route that mixes values and derivatives is self-consistent.
+    The derivative tensors of H are unpacked once, at construction; every
+    geometric object is a cached float formula in them.
     """
 
     def __init__(self, ham: HamiltonianSpec, point: PhasePoint):
@@ -145,99 +109,55 @@ class _Workspace:
             )
         self.ham = ham
         self.point = point
-        self.n = ham.dim
-        self.m = 2 * ham.dim
+        n = self.n = ham.dim
+        m = self.m = 2 * ham.dim
 
-    # -- raw jets ----------------------------------------------------------
+        nested = nested_jet_lift(ham.expr, point)
+        grad, _ = _lanes(nested.dense(1), m)
+        hess, _ = _lanes(nested.dense(2), m)
+        third, fourth = _lanes(nested.dense(3), m)
 
-    @cached_property
-    def nested(self) -> Jet:
-        return nested_jet_lift(self.ham.expr, self.point)
+        #: (xi^1..xi^n, chi_1..chi_n) = (dH/dp, -dH/dx) and its slopes
+        #: dflow[z][a] = d flow_a / d(slot z)
+        self.flow = np.concatenate([grad[n:], -grad[:n]])
+        self.dflow = np.concatenate([hess[:, n:], -hess[:, :n]], axis=1)
+        self.A = hess[n:, :n].copy()
+        self.B = hess[:n, :n].copy()
+        self.G = hess[n:, n:].copy()
+        self.dA = np.ascontiguousarray(third[n:, :n].transpose(2, 0, 1))
+        self.dG = np.ascontiguousarray(third[n:, n:].transpose(2, 0, 1))
+        self.d2G = np.ascontiguousarray(fourth[n:, n:].transpose(2, 3, 0, 1))
 
-    def germ1(self, multi: Sequence[int]) -> Jet:
-        """Order-1 germ of a partial derivative of H (exact one order up)."""
-        return _as_jet(self.nested.partial(multi), self.m, 1)
-
-    def germ2(self, multi: Sequence[int]) -> Jet:
-        """Order-2 germ of a second partial of H; its own second
-        derivatives are fourth derivatives of H."""
-        nested, m = self.nested, self.m
-        idx = tuple(sorted(multi))
-        c0 = _as_jet(nested.partial(idx), m, 1).c0
-        c1 = np.empty(m)
-        for w in range(m):
-            c1[w] = _as_jet(nested.partial(idx + (w,)), m, 1).c0
-        half = m * (m + 1) // 2
-        c2 = np.empty(half)
-        t = 0
-        for z in range(m):
-            germ = _as_jet(nested.partial(tuple(sorted(idx + (z,)))), m, 1)
-            for w in range(z, m):
-                c2[t] = germ.c1[w]
-                t += 1
-        return Jet(m, 2, float(c0), c1, c2, None)
-
-    # -- Hamiltonian vector field -------------------------------------------
-
-    @cached_property
-    def flow_germs(self) -> list:
-        """Order-1 germs of (xi^1..xi^n, chi_1..chi_n)."""
-        n = self.n
-        xi = [self.germ1((n + i,)) for i in range(n)]
-        chi = [-self.germ1((i,)) for i in range(n)]
-        return xi + chi
-
-    @cached_property
-    def flow(self) -> np.ndarray:
-        return np.array([g.c0 for g in self.flow_germs])
-
-    @cached_property
+    @property
     def xi(self) -> np.ndarray:
         return self.flow[: self.n]
 
-    @cached_property
+    @property
     def chi(self) -> np.ndarray:
         return self.flow[self.n:]
 
-    # -- second derivatives of H --------------------------------------------
+    def rho(self, slopes: np.ndarray) -> np.ndarray:
+        """Derivative along the flow of a tensor given its slopes[z]."""
+        return np.tensordot(self.flow, slopes, axes=1)
 
-    @cached_property
-    def a_germs(self) -> list:
+    def delta(self, slopes: np.ndarray) -> np.ndarray:
+        """Adapted x-derivatives of a tensor given its slopes[z].
+
+        The result's leading axis is the adapted direction i:
+        d/dx^i + N_il d/dp_l.
+        """
         n = self.n
-        return [
-            [self.germ1((n + k, j)) for j in range(n)] for k in range(n)
-        ]
+        return slopes[:n] + np.tensordot(self.N, slopes[n:], axes=1)
 
-    @cached_property
-    def A(self) -> np.ndarray:
-        return _c0_array(self.a_germs)
+    def bracket(self, values: np.ndarray, jac: np.ndarray) -> np.ndarray:
+        """[rho_H, Y] at the point, from Y's values and jac[a][z] = dY^a/dz."""
+        return jac @ self.flow - values @ self.dflow
 
-    @cached_property
-    def B(self) -> np.ndarray:
-        n = self.n
-        return np.array(
-            [[float(_as_jet(self.nested.partial((i, j)), self.m, 1).c0)
-              for j in range(n)] for i in range(n)]
-        )
-
-    @cached_property
-    def g_upper_germs(self) -> list:
-        n = self.n
-        return [
-            [self.germ2((n + i, n + j)) for j in range(n)] for i in range(n)
-        ]
-
-    @cached_property
-    def g_upper(self) -> np.ndarray:
-        return _c0_array(self.g_upper_germs)
+    # -- metric ---------------------------------------------------------------
 
     @cached_property
     def rcond(self) -> float:
-        singular_values = np.linalg.svd(self.g_upper, compute_uv=False)
-        top = float(singular_values[0])
-        if top == 0.0:
-            return 0.0
-        return float(singular_values[-1]) / top
+        return _rcond(self.G)
 
     def require_regular(self):
         if not np.isfinite(self.rcond) or self.rcond < RCOND_FLOOR:
@@ -248,82 +168,60 @@ class _Workspace:
             )
 
     @cached_property
-    def g_lower_germs(self) -> list:
+    def L(self) -> np.ndarray:
         self.require_regular()
-        return _ring_inverse(self.g_upper_germs)
+        return np.linalg.inv(self.G)
 
     @cached_property
-    def g_lower(self) -> np.ndarray:
-        return _c0_array(self.g_lower_germs)
+    def dL(self) -> np.ndarray:
+        return _inverse_derivatives(self.L, self.dG)
+
+    @cached_property
+    def d2L(self) -> np.ndarray:
+        """d2L[z][w] = (E_w E_z + E_z E_w - L d2G[z][w]) L with E = L dG."""
+        e = self.L @ self.dG
+        ee = np.einsum("wij,zjk->zwik", e, e)
+        return (ee + ee.swapaxes(0, 1) - self.L @ self.d2G) @ self.L
 
     # -- canonical nonlinear connection --------------------------------------
 
     @cached_property
-    def n_germs(self) -> list:
-        """Order-1 germs of the canonical connection coefficients.
-
-        N_ij = ({g_ij, H} - g_ik A[k][j] - g_jk A[k][i]) / 2, where the
-        bracket convention is fixed by the worked example: {g, H} is minus
-        the derivative of g_ij along the Hamiltonian vector field.
-        """
-        n = self.n
-        t = _ring_matmul(self.g_lower_germs, self.a_germs)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                bracket = -sum(
-                    self.flow_germs[z] * self.g_lower_germs[i][j].derivative(z)
-                    for z in range(self.m)
-                )
-                row.append((bracket - t[i][j] - t[j][i]) * 0.5)
-            out.append(row)
-        return out
-
-    @cached_property
     def N(self) -> np.ndarray:
-        return _c0_array(self.n_germs)
+        """Canonical connection coefficients.
+
+        N_ij = ({g_ij, H} - (L A)_ij - (L A)_ji) / 2, where the bracket
+        convention is fixed by the worked example: {g, H} is minus the
+        derivative of g_ij along the Hamiltonian vector field.  With
+        s = rho(L) + 2 L A this is -(s + s^T) / 4, which is symmetric to
+        the last bit.
+        """
+        s = self.rho(self.dL) + 2.0 * (self.L @ self.A)
+        return -0.25 * (s + s.transpose())
 
     @cached_property
     def dN(self) -> np.ndarray:
-        """dN[z][i][j] = d N_ij / d(slot z)."""
-        n = self.n
-        out = np.empty((self.m, n, n))
-        for z in range(self.m):
-            for i in range(n):
-                for j in range(n):
-                    out[z, i, j] = _slope(self.n_germs[i][j], z)
-        return out
-
-    def delta_of(self, values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-        """Adapted x-derivatives of a tensor given its flat slopes.
-
-        ``slopes[z]`` holds d(tensor)/d(slot z); the result's leading axis
-        is the adapted direction i: d/dx^i + N_ij d/dp_j.
-        """
-        n = self.n
-        return np.stack(
-            [
-                slopes[i] + sum(self.N[i][l] * slopes[n + l] for l in range(n))
-                for i in range(n)
-            ]
+        """dN[z][i][j] = d N_ij / d(slot z), the slope of the formula for N."""
+        ds = (
+            np.tensordot(self.dflow, self.dL, axes=1)
+            + np.einsum("w,zwij->zij", self.flow, self.d2L)
+            + 2.0 * (self.dL @ self.A + self.L @ self.dA)
         )
+        return -0.25 * (ds + ds.transpose(0, 2, 1))
 
     @cached_property
     def R3(self) -> np.ndarray:
         """Curvature R[i][j][k] = delta_i N_jk - delta_j N_ik."""
-        delta_n = self.delta_of(self.N, self.dN)
+        delta_n = self.delta(self.dN)
         return delta_n - delta_n.transpose(1, 0, 2)
 
     @cached_property
     def Phi(self) -> np.ndarray:
-        rho_n = np.einsum("z,zjk->jk", self.flow, self.dN)
         return (
             self.A.T @ self.N
             + self.N @ self.A
-            + self.N @ self.g_upper @ self.N
+            + self.N @ self.G @ self.N
             + self.B
-            + rho_n
+            + self.rho(self.dN)
         )
 
     @cached_property
@@ -336,8 +234,7 @@ class _Workspace:
     def nabla_v(self) -> np.ndarray:
         """nabla_v[j][i]: coefficient of d/dp_i in the covariant derivative
         of d/dp_j along the flow."""
-        self.require_regular()
-        return self.A + self.g_upper @ self.N
+        return self.A + self.G @ self.N
 
     @cached_property
     def nabla_h(self) -> np.ndarray:
@@ -350,58 +247,12 @@ class _Workspace:
     # -- Berwald connection ---------------------------------------------------
 
     @cached_property
-    def d_g_upper(self) -> np.ndarray:
-        n = self.n
-        out = np.empty((self.m, n, n))
-        for z in range(self.m):
-            for j in range(n):
-                for k in range(n):
-                    out[z, j, k] = _slope(self.g_upper_germs[j][k], z)
-        return out
-
-    @cached_property
-    def d_g_lower(self) -> np.ndarray:
-        n = self.n
-        out = np.empty((self.m, n, n))
-        for z in range(self.m):
-            for j in range(n):
-                for k in range(n):
-                    out[z, j, k] = _slope(self.g_lower_germs[j][k], z)
-        return out
-
-    @cached_property
     def berwald(self) -> "BerwaldCoefficients":
-        n = self.n
-        glow, gup = self.g_lower, self.g_upper
-        delta_g = self.delta_of(self.g_lower, self.d_g_lower)  # [i][j][k]
-        hh = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for s in range(n):
-                    hh[i, j, s] = sum(
-                        gup[k, s]
-                        * (
-                            delta_g[i, j, k]
-                            - sum(
-                                glow[j, r] * self.dN[n + r, i, k]
-                                for r in range(n)
-                            )
-                        )
-                        for k in range(n)
-                    )
-        hv = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for r in range(n):
-                    hv[i, j, r] = -self.dN[n + j, i, r]
-        vv = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for s in range(n):
-                    vv[i, j, s] = sum(
-                        glow[k, s] * self.d_g_upper[n + i, j, k]
-                        for k in range(n)
-                    )
+        n, L, dN = self.n, self.L, self.dN
+        delta_l = self.delta(self.dL)  # [i][j][k]
+        hh = (delta_l - np.einsum("jr,rik->ijk", L, dN[n:])) @ self.G
+        hv = -dN[n:].transpose(1, 0, 2)
+        vv = self.dG[n:] @ L
         return BerwaldCoefficients(
             hh=hh, hv=hv, vh=np.zeros((n, n, n)), vv=vv
         )
@@ -460,7 +311,7 @@ def metric(ham: HamiltonianSpec, point: PhasePoint):
     """Momentum Hessian g^{ij} and its inverse g_{ij} at one point."""
     ws = _workspace(ham, point)
     ws.require_regular()
-    return ws.g_upper.copy(), ws.g_lower.copy()
+    return ws.G.copy(), ws.L.copy()
 
 
 def metric_rcond(ham: HamiltonianSpec, point: PhasePoint) -> float:
@@ -489,55 +340,30 @@ def connection_general(rho: VectorFieldSpec, point: PhasePoint) -> np.ndarray:
     Hamiltonian vector field it reproduces :func:`connection`.
     """
     n = rho.dim
-    m = 2 * n
     if point.dim != n:
         raise DimensionError(f"point has dimension {point.dim}, field {n}")
     xi_jets = [jet_lift(e, point, order=2) for e in rho.x_components]
     chi_jets = [jet_lift(e, point, order=1) for e in rho.p_components]
     flow = np.array([j.c0 for j in xi_jets] + [j.c0 for j in chi_jets])
+    d_xi = np.array([j.c1 for j in xi_jets])  # [k][z] = dxi^k/dz
+    d_chi = np.array([j.c1 for j in chi_jets])  # [j][z] = dchi_j/dz
+    dd_xi = np.array([j.dense(2) for j in xi_jets])  # [k][a][z]
 
-    t_up_germs = [
-        [xi_jets[j].derivative(n + i) for j in range(n)] for i in range(n)
-    ]
-    t_up = _c0_array(t_up_germs)
-    singular_values = np.linalg.svd(t_up, compute_uv=False)
-    top = float(singular_values[0])
-    rcond = 0.0 if top == 0.0 else float(singular_values[-1]) / top
+    t_up = d_xi[:, n:].T
+    rcond = _rcond(t_up)
     if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise RegularityError(
             f"field is not regular at {point}: dxi/dp has reciprocal "
             f"condition {rcond:.3e}",
             rcond=rcond,
         )
-    t_low = _ring_inverse(t_up_germs)
-
-    d_chi_dp = np.array(
-        [[chi_jets[j].c1[n + k] for k in range(n)] for j in range(n)]
-    )
-    d_xi_dx = np.array(
-        [[xi_jets[k].c1[i] for i in range(n)] for k in range(n)]
-    )
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            rho_t = sum(flow[z] * _slope(t_low[i][j], z) for z in range(m))
-            first = sum(
-                float(_as_jet(t_low[i][k], m, 1).c0) * d_chi_dp[j][k]
-                for k in range(n)
-            )
-            second = sum(
-                float(_as_jet(t_low[k][j], m, 1).c0) * d_xi_dx[k][i]
-                for k in range(n)
-            )
-            out[i, j] = 0.5 * (first - second - rho_t)
-    return out
-
-
-def connection_germs(ham: HamiltonianSpec, point: PhasePoint) -> list:
-    """Order-1 germs of the canonical connection (shared with symmetry checks)."""
-    ws = _workspace(ham, point)
-    ws.require_regular()
-    return ws.n_germs
+    t_low = np.linalg.inv(t_up)
+    # dt_up[z][i][j] = d2 xi^j / dp_i dz
+    d_t_low = _inverse_derivatives(t_low, dd_xi[:, n:].transpose(2, 1, 0))
+    rho_t = np.tensordot(flow, d_t_low, axes=1)
+    first = t_low @ d_chi[:, n:].T
+    second = d_xi[:, :n].T @ t_low
+    return 0.5 * (first - second - rho_t)
 
 
 def adapted_derivative(ham: HamiltonianSpec, point: PhasePoint, f) -> np.ndarray:
@@ -552,14 +378,7 @@ def adapted_derivative(ham: HamiltonianSpec, point: PhasePoint, f) -> np.ndarray
         f = jet_lift(f, point, order=1)
     if f.order < 1 or f.m != ws.m:
         raise DimensionError("need an order >= 1 jet in the 2n phase variables")
-    grad = np.array([float(f.c1[z]) for z in range(ws.m)])
-    n = ws.n
-    return np.array(
-        [
-            grad[i] + sum(ws.N[i][j] * grad[n + j] for j in range(n))
-            for i in range(n)
-        ]
-    )
+    return ws.delta(np.asarray(f.c1, dtype=float))
 
 
 def curvature(ham: HamiltonianSpec, point: PhasePoint) -> np.ndarray:
@@ -625,17 +444,7 @@ def nabla_J_residual(ham: HamiltonianSpec, N_matrix, point: PhasePoint) -> np.nd
     cand = np.asarray(N_matrix, dtype=float)
     if cand.shape != (n, n):
         raise DimensionError(f"candidate connection must be {n}x{n}")
-    rho_g = np.array(
-        [
-            [
-                sum(ws.flow[z] * _slope(ws.g_lower_germs[i][j], z)
-                    for z in range(ws.m))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
-    return rho_g + ws.A.T @ ws.g_lower + ws.g_lower @ ws.A + 2.0 * cand
+    return ws.rho(ws.dL) + ws.A.T @ ws.L + ws.L @ ws.A + 2.0 * cand
 
 
 def nabla_metric_residual(
@@ -657,19 +466,34 @@ def nabla_metric_residual(
         cand = np.asarray(N_matrix, dtype=float)
         if cand.shape != (n, n):
             raise DimensionError(f"candidate connection must be {n}x{n}")
-    coeffs = ws.A + ws.g_upper @ cand
-    rho_g_up = np.einsum("z,zjk->jk", ws.flow, ws.d_g_upper)
-    return rho_g_up - coeffs @ ws.g_upper - ws.g_upper @ coeffs.T
+    coeffs = ws.A + ws.G @ cand
+    return ws.rho(ws.dG) - coeffs @ ws.G - ws.G @ coeffs.T
 
 
 # --------------------------------------------------------------------------
 # the dynamical covariant derivative as an operator on vector fields
 
 
-def _field_germs(field: VectorFieldSpec, point: PhasePoint) -> list:
-    germs = [jet_lift(e, point, order=1) for e in field.x_components]
-    germs += [jet_lift(e, point, order=1) for e in field.p_components]
-    return germs
+def _adapted_parts(ws: _Workspace, field: VectorFieldSpec, point: PhasePoint):
+    """Values and slopes of a field's adapted components at the point.
+
+    Returns (a, da), (aN, d_aN) and (b, db) for the horizontal components
+    a = Y_x, their image aN = a.N and the vertical components b = Y_p - aN;
+    slopes are indexed [component][slot].
+    """
+    n = ws.n
+    if field.dim != n:
+        raise DimensionError(f"field has dimension {field.dim}, expected {n}")
+    jets = [
+        jet_lift(e, point, order=1)
+        for e in field.x_components + field.p_components
+    ]
+    values = np.array([j.c0 for j in jets])
+    jac = np.array([j.c1 for j in jets])
+    a, da = values[:n], jac[:n]
+    a_n = a @ ws.N
+    d_a_n = ws.N.T @ da + np.einsum("k,zki->iz", a, ws.dN)
+    return (a, da), (a_n, d_a_n), (values[n:] - a_n, jac[n:] - d_a_n)
 
 
 def nabla_vector_field(
@@ -682,44 +506,17 @@ def nabla_vector_field(
     """
     ws = _workspace(ham, point)
     ws.require_regular()
-    n, m = ws.n, ws.m
-    if field.dim != n:
-        raise DimensionError(f"field has dimension {field.dim}, expected {n}")
-    y = _field_germs(field, point)
-    n_germs = ws.n_germs
+    (a, da), (a_n, d_a_n), (b, db) = _adapted_parts(ws, field, point)
 
-    # germs of the projections hY = (a, a.N) and vY = (0, b)
-    a = y[:n]
-    a_dot_n = [
-        sum(a[k] * n_germs[k][i] for k in range(n)) for i in range(n)
-    ]
-    h_y = a + a_dot_n
-    b = [y[n + i] - a_dot_n[i] for i in range(n)]
-    zero = Jet.constant(0.0, m, 1)
-    v_y = [zero] * n + b
-
-    rho = ws.flow_germs
-
-    def bracket(w):
-        return np.array(
-            [
-                sum(
-                    rho[z].c0 * w[comp].c1[z] - w[z].c0 * rho[comp].c1[z]
-                    for z in range(m)
-                )
-                for comp in range(m)
-            ]
-        )
-
-    br_h = bracket(h_y)
-    br_v = bracket(v_y)
+    # brackets with the projections hY = (a, a.N) and vY = (0, b)
+    zero, zero_jac = np.zeros_like(b), np.zeros_like(db)
+    br_h = ws.bracket(np.concatenate([a, a_n]), np.vstack([da, d_a_n]))
+    br_v = ws.bracket(np.concatenate([zero, b]), np.vstack([zero_jac, db]))
     # float-level projections of the two brackets, then back to natural basis
+    n = ws.n
     h_part_x = br_h[:n]
     v_part_p = br_v[n:] - br_v[:n] @ ws.N
-    result = np.empty(m)
-    result[:n] = h_part_x
-    result[n:] = h_part_x @ ws.N + v_part_p
-    return result
+    return np.concatenate([h_part_x, h_part_x @ ws.N + v_part_p])
 
 
 def berwald_vs_nabla(
@@ -735,9 +532,8 @@ def berwald_vs_nabla(
     """
     ws = _workspace(ham, point)
     ws.require_regular()
-    n, m = ws.n, ws.m
-    if field.dim != n:
-        raise DimensionError(f"field has dimension {field.dim}, expected {n}")
+    if field.dim != ws.n:
+        raise DimensionError(f"field has dimension {field.dim}, expected {ws.n}")
     residual = ws.horizontality_residual
     worst = float(np.max(np.abs(residual)))
     if worst >= 1e-8:
@@ -747,59 +543,22 @@ def berwald_vs_nabla(
             residual=residual,
         )
 
-    y = _field_germs(field, point)
-    n_germs = ws.n_germs
-    a = y[:n]
-    a_dot_n = [
-        sum(a[k] * n_germs[k][i] for k in range(n)) for i in range(n)
-    ]
-    b = [y[n + i] - a_dot_n[i] for i in range(n)]
-
+    n = ws.n
+    (a, da), _, (b, db) = _adapted_parts(ws, field, point)
     xi, w = ws.xi, residual
     bw = ws.berwald
-
-    def adapted(germ):
-        return np.array(
-            [
-                germ.c1[i] + sum(ws.N[i][l] * germ.c1[n + l] for l in range(n))
-                for i in range(n)
-            ]
-        )
-
-    a_vals = np.array([g.c0 for g in a])
-    b_vals = np.array([g.c0 for g in b])
-    out_h = np.empty(n)
-    for s in range(n):
-        delta_a = adapted(a[s])
-        out_h[s] = (
-            xi @ delta_a
-            + sum(
-                xi[i] * a_vals[j] * bw.hh[i, j, s]
-                for i in range(n)
-                for j in range(n)
-            )
-            + sum(w[i] * a[s].c1[n + i] for i in range(n))
-        )
-    out_v = np.empty(n)
-    for r in range(n):
-        delta_b = adapted(b[r])
-        out_v[r] = (
-            xi @ delta_b
-            + sum(
-                xi[i] * b_vals[j] * bw.hv[i, j, r]
-                for i in range(n)
-                for j in range(n)
-            )
-            + sum(w[i] * b[r].c1[n + i] for i in range(n))
-            + sum(
-                w[i] * b_vals[j] * bw.vv[i, j, r]
-                for i in range(n)
-                for j in range(n)
-            )
-        )
-    transport = np.empty(m)
-    transport[:n] = out_h
-    transport[n:] = out_h @ ws.N + out_v
+    out_h = (
+        xi @ ws.delta(da.T)
+        + np.einsum("i,j,ijs->s", xi, a, bw.hh)
+        + da[:, n:] @ w
+    )
+    out_v = (
+        xi @ ws.delta(db.T)
+        + np.einsum("i,j,ijr->r", xi, b, bw.hv)
+        + db[:, n:] @ w
+        + np.einsum("i,j,ijr->r", w, b, bw.vv)
+    )
+    transport = np.concatenate([out_h, out_h @ ws.N + out_v])
     return transport - nabla_vector_field(ham, field, point)
 
 
@@ -812,8 +571,8 @@ def geometry_report(
     horizontal, residual = is_horizontal(ham, point, tol)
     return GeometryReport(
         point=point,
-        g_upper=ws.g_upper.copy(),
-        g_lower=ws.g_lower.copy(),
+        g_upper=ws.G.copy(),
+        g_lower=ws.L.copy(),
         xi=ws.xi.copy(),
         chi=ws.chi.copy(),
         N=ws.N.copy(),

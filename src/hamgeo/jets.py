@@ -12,8 +12,9 @@ permutation symmetry of :meth:`Jet.partial` exact by construction.
 Coefficient arrays are usually float, but they may hold arbitrary scalar
 objects, including other jets.  Evaluating an expression over jets whose
 values are themselves order-1 jets yields, after extraction, exact
-derivatives one order beyond the outer truncation; the geometry layer uses
-this for the fourth derivatives hiding inside connection gradients.
+derivatives one order beyond the outer truncation; the geometry layer reads
+the Hamiltonian's fourth derivatives from the slopes of the order-3
+coefficients.
 
 Instances are immutable by convention: coefficient arrays are never
 written after construction, so jets may freely share them.
@@ -34,10 +35,8 @@ __all__ = [
     "Jet",
     "jet_lift",
     "nested_jet_lift",
-    "partial",
     "fd_oracle",
     "FD_STEPS",
-    "PhasePoint",
 ]
 
 
@@ -176,6 +175,23 @@ class Jet:
         if k == 2:
             return self.c2[tab.pair[idx[0], idx[1]]]
         return self.c3[tab.trip[idx[0], idx[1], idx[2]]]
+
+    def dense(self, order: int) -> np.ndarray:
+        """All coefficients of one order as a dense symmetric array.
+
+        The result has shape (m,) * order, and entry [a, b, ...] is
+        ``partial((a, b, ...))``; order 0 returns the value.
+        """
+        if not 0 <= order <= self.order:
+            raise ValueError(f"order {order} outside 0..{self.order}")
+        if order == 0:
+            return self.c0
+        if order == 1:
+            return self.c1
+        tab = _tables(self.m)
+        if order == 2:
+            return self.c2[tab.pair]
+        return self.c3[tab.trip]
 
     def derivative(self, slot: int) -> "Jet":
         """The jet of the partial derivative along one slot (order drops by 1)."""
@@ -457,11 +473,6 @@ def nested_jet_lift(expr: Expression, point: PhasePoint, outer_order: int = 3) -
     if not isinstance(result, Jet):
         result = Jet.constant(float(result), m, outer_order)
     return result
-
-
-def partial(jet: Jet, multi_index: Sequence[int]):
-    """Module-level alias for :meth:`Jet.partial`."""
-    return jet.partial(multi_index)
 
 
 # --------------------------------------------------------------------------

@@ -92,16 +92,20 @@ def power(base, exponent):
 
 
 def int_pow(base, k: int):
-    """Integer power by repeated multiplication.
+    """Integer power by square-and-multiply, reading k's bits from the top.
 
-    Valid for negative bases and exact for small exponents; negative
-    exponents go through the reciprocal.  Works for any scalar algebra.
+    Takes at most 2*log2(k) products, and for k <= 3 the same products as
+    repeated multiplication (x*x, (x*x)*x).  Valid for negative bases;
+    negative exponents go through the reciprocal.  Works for any scalar
+    algebra.
     """
     if k == 0:
         return 1.0
     if k < 0:
         return divide(1.0, int_pow(base, -k))
     result = base
-    for _ in range(k - 1):
-        result = result * base
+    for bit in bin(k)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * base
     return result

@@ -40,7 +40,7 @@ from .jets import fd_oracle, jet_lift
 from .manifest import Manifest, load_manifest
 from .phase import PhasePoint, sample_box
 
-__all__ = ["CheckResult", "run_checks", "run_selftest"]
+__all__ = ["CheckResult", "run_checks", "result_lines", "run_selftest"]
 
 
 @dataclass
@@ -449,19 +449,24 @@ def run_checks(tol_scale: float = 1.0) -> list:
     return [check(ctx) for check in _CHECKS]
 
 
-def run_selftest(tol_scale: float = 1.0, stream=None) -> int:
-    """Print one PASS/FAIL line per check; exit 0 only if all pass."""
-    stream = sys.stdout if stream is None else stream
-    results = run_checks(tol_scale)
-    failed = 0
+def result_lines(results) -> list:
+    """One PASS/FAIL line per check result, then the summary line."""
+    lines = []
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         line = f"{status}  {result.name}: {result.detail}"
         if not result.passed and result.expected_failure:
             line += "  [known discrepancy, see README]"
+        lines.append(line)
+    passed = sum(result.passed for result in results)
+    lines.append(f"{passed}/{len(results)} checks passed")
+    return lines
+
+
+def run_selftest(tol_scale: float = 1.0, stream=None) -> int:
+    """Print one PASS/FAIL line per check; exit 0 only if all pass."""
+    stream = sys.stdout if stream is None else stream
+    results = run_checks(tol_scale)
+    for line in result_lines(results):
         print(line, file=stream)
-        failed += not result.passed
-    print(
-        f"{len(results) - failed}/{len(results)} checks passed", file=stream
-    )
-    return 0 if failed == 0 else 1
+    return 0 if all(result.passed for result in results) else 1

@@ -29,14 +29,11 @@ from .expr import (
     _neg,
     hamiltonian_field_spec,
 )
-from .geometry import _as_jet, _workspace, nabla_vector_field
-from .jets import Jet, jet_lift
+from .geometry import _workspace, nabla_vector_field
+from .jets import jet_lift
 from .phase import PhasePoint
 
 __all__ = [
-    "VectorFieldSpec",
-    "BaseVectorFieldSpec",
-    "hamiltonian_field_spec",
     "lie_bracket",
     "symmetry_residual",
     "newtonoid_residual",
@@ -108,7 +105,7 @@ def newtonoid_residual(
     """
     ws = _workspace(ham, point)
     bracket_x = symmetry_residual(ham, field, point)[: ws.n]
-    return ws.g_lower @ bracket_x
+    return ws.L @ bracket_x
 
 
 def newtonoid_lift(ham: HamiltonianSpec, x_components, point: PhasePoint):
@@ -131,7 +128,7 @@ def newtonoid_lift(ham: HamiltonianSpec, x_components, point: PhasePoint):
             for i in range(n)
         ]
     )
-    return values, ws.g_lower @ rhs
+    return values, ws.L @ rhs
 
 
 def newtonoid_invariant_residual(
@@ -149,7 +146,7 @@ def newtonoid_invariant_residual(
     values = _values(jets)
     vertical = values[n:] - values[:n] @ ws.N
     nabla = nabla_vector_field(ham, field, point)
-    return vertical - ws.g_lower @ nabla[:n]
+    return vertical - ws.L @ nabla[:n]
 
 
 def complete_lift(base_field: BaseVectorFieldSpec) -> VectorFieldSpec:
@@ -242,49 +239,38 @@ def invariant_equation_residual(
     for fields that are simultaneously symmetries and Newtonoids.
     """
     ws = _workspace(ham, point)
-    n, m = ws.n, ws.m
+    n = ws.n
     if field.dim != n:
         raise DimensionError(f"field has dimension {field.dim}, expected {n}")
-    x_germs = [jet_lift(c, point, order=2) for c in field.x_components]
-    x_values = _values(x_germs)
+    x_jets = [jet_lift(c, point, order=2) for c in field.x_components]
+    x = _values(x_jets)
+    dx = np.array([j.c1 for j in x_jets])  # [i][z]
+    ddx = np.array([j.dense(2) for j in x_jets])  # [i][z][w]
+    flow, L, dL = ws.flow, ws.L, ws.dL
 
-    d_germs = [
-        [
-            ws.a_germs[j][i]
-            + sum(ws.g_upper_germs[j][k] * ws.n_germs[k][i] for k in range(n))
-            for i in range(n)
-        ]
-        for j in range(n)
-    ]
-    v_germs = [
-        _as_jet(
-            sum(ws.g_lower_germs[i][j] * x_germs[i] for i in range(n)), m, 2
-        )
-        for j in range(n)
-    ]
-    nabla_v_germs = [
-        _as_jet(
-            sum(ws.flow_germs[z] * v_germs[i].derivative(z) for z in range(m))
-            + sum(v_germs[j] * d_germs[j][i] for j in range(n)),
-            m,
-            1,
-        )
-        for i in range(n)
-    ]
-    nabla2 = np.array(
-        [
-            sum(ws.flow[z] * nabla_v_germs[i].c1[z] for z in range(m))
-            + sum(nabla_v_germs[j].c0 * ws.nabla_v[j][i] for j in range(n))
-            for i in range(n)
-        ]
+    # V_j = L_ij X^i, its slopes dv[z][j] and their flow derivatives
+    # rho_dv[z][j] = sum_w flow_w d2V_j / dz dw
+    v = x @ L
+    dv = x @ dL + dx.T @ L
+    rho_dv = (
+        np.einsum("w,zwij,i->zj", flow, ws.d2L, x)
+        + (dx @ flow) @ dL
+        + dx.T @ ws.rho(dL)
+        + (ddx @ flow).T @ L
     )
-    return nabla2 + x_values @ ws.Phi
+    # D = nabla_v = A + G N and its slopes
+    d = ws.nabla_v
+    dd = ws.dA + ws.dG @ ws.N + ws.G @ ws.dN
+    # U = nabla V = rho(V) + V D with its slopes, then nabla U at the point
+    u = flow @ dv + v @ d
+    du = ws.dflow @ dv + rho_dv + dv @ d + np.einsum("j,zji->zi", v, dd)
+    return flow @ du + u @ d + x @ ws.Phi
 
 
 def _vertical_lower(ws, vector: np.ndarray) -> np.ndarray:
     """The vertical endomorphism after lowering: (V_x, V_p) -> (0, g V_x)."""
     out = np.zeros(ws.m)
-    out[ws.n:] = ws.g_lower @ vector[: ws.n]
+    out[ws.n:] = ws.L @ vector[: ws.n]
     return out
 
 

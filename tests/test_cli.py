@@ -250,3 +250,35 @@ class TestArgumentHandling:
     def test_global_flags_before_subcommand(self, capsys):
         assert main(["--manifest", "free-particle", "report"]) == 0
         assert "point 'origin'" in capsys.readouterr().out
+
+
+class TestSingularSamplePoints:
+    """A sample cloud that hits a singular momentum Hessian is a regularity
+    failure (exit 3) in every subcommand, not a traceback."""
+
+    MANIFEST = {
+        "dim": 1,
+        "hamiltonian": "p1^3",
+        "fields": {"shift": {"x": ["1"], "p": ["0"]}},
+        "sampling": {"x_box": [[-1.0, 1.0]], "p_box": [[0.0, 0.0]], "count": 4},
+    }
+
+    @pytest.mark.parametrize("command", ["symmetry", "lift"])
+    def test_exits_3_naming_the_point(self, command, tmp_path, capsys):
+        path = write_manifest(tmp_path, self.MANIFEST)
+        assert main([command, "--manifest", path]) == 3
+        err = capsys.readouterr().err
+        assert "regularity error" in err
+        assert "sample point at (" in err
+        assert "condition" in err
+
+
+def test_selftest_output_is_the_run_selftest_stream(capsys):
+    import io
+
+    from hamgeo.selftest import run_selftest
+
+    stream = io.StringIO()
+    expected_code = run_selftest(stream=stream)
+    assert main(["selftest"]) == expected_code
+    assert capsys.readouterr().out == stream.getvalue()

@@ -303,3 +303,34 @@ def test_pmp_value_is_half_sum_of_squared_momenta(gens, coords):
         (coords[2] * g[0] + coords[3] * g[1]) ** 2 for g in gens
     )
     assert evaluate(ham.expr, pt) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+class _Counting:
+    """Scalar that counts the products taken to build it."""
+
+    products = 0
+
+    def __init__(self, exponent):
+        self.exponent = exponent
+
+    def __mul__(self, other):
+        _Counting.products += 1
+        return _Counting(self.exponent + other.exponent)
+
+
+def test_int_pow_uses_logarithmically_many_products():
+    from hamgeo.scalars import int_pow
+
+    k = 10**6
+    _Counting.products = 0
+    assert int_pow(_Counting(1), k).exponent == k
+    assert _Counting.products <= 2 * math.log2(k)
+
+
+def test_int_pow_small_exponents_keep_their_products():
+    from hamgeo.scalars import int_pow
+
+    x = 1.1
+    assert int_pow(x, 2) == x * x
+    assert int_pow(x, 3) == (x * x) * x
+    assert int_pow(x, -2) == 1.0 / (x * x)

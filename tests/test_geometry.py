@@ -402,6 +402,87 @@ class TestThreeDimensional:
             assert np.max(np.abs(geo.nabla_metric_residual(self.HAM, point))) < 1e-10
 
 
+class TestThreeDimensionalCurvedMetric:
+    """n = 3 with an x-dependent, non-diagonal metric, so every
+    metric-derivative term of the connection and its derivatives counts."""
+
+    HAM = HamiltonianSpec.from_text(
+        "curved-3d",
+        3,
+        "0.5*((1 + 0.1*x2^2)*p1^2 + (1 + 0.1*x3^2)*p2^2 + (1 + 0.1*x1^2)*p3^2)"
+        " + 0.1*(sin(x1)*p1*p2 + sin(x2)*p2*p3)",
+    )
+    POINTS = sample_box([(-1.5, 1.5)] * 3, [(0.2, 1.5)] * 3, 6, seed=31)
+    PROBES = [
+        VectorFieldSpec.from_text(3, ("0", "0", "0"), ("1", "0", "0")),
+        VectorFieldSpec.from_text(3, ("0", "0", "0"), ("0", "0", "1")),
+        VectorFieldSpec.from_text(3, ("1", "0", "0"), ("0", "0", "0")),
+        VectorFieldSpec.from_text(3, ("0", "1", "0"), ("0", "0", "0")),
+        hamiltonian_field_spec(HAM),
+    ]
+
+    def test_metric_is_curved(self):
+        point = self.POINTS[0]
+        g_upper, _ = geo.metric(self.HAM, point)
+        assert np.max(np.abs(g_upper - np.diag(np.diag(g_upper)))) > 1e-2
+        moved = PhasePoint(x=(point.x[0] + 0.5,) + point.x[1:], p=point.p)
+        assert np.max(np.abs(geo.metric(self.HAM, moved)[0] - g_upper)) > 1e-2
+
+    def test_general_connection_matches_canonical(self):
+        rho = hamiltonian_field_spec(self.HAM)
+        for point in self.POINTS:
+            np.testing.assert_allclose(
+                geo.connection_general(rho, point),
+                geo.connection(self.HAM, point),
+                atol=1e-12,
+            )
+
+    def test_jacobi_routes_agree(self):
+        for point in self.POINTS:
+            assert geo.is_horizontal(self.HAM, point)[0]
+            np.testing.assert_allclose(
+                geo.jacobi_endomorphism(self.HAM, point),
+                geo.jacobi_via_curvature(self.HAM, point),
+                atol=1e-12,
+            )
+
+    def test_covariant_identities(self):
+        for point in self.POINTS:
+            N = geo.connection(self.HAM, point)
+            assert np.max(np.abs(geo.nabla_J_residual(self.HAM, N, point))) < 1e-12
+            assert np.max(np.abs(geo.nabla_metric_residual(self.HAM, point))) < 1e-12
+
+    def test_berwald_transport_equals_nabla(self):
+        for point in self.POINTS:
+            for probe in self.PROBES:
+                diff = geo.berwald_vs_nabla(self.HAM, probe, point)
+                assert np.max(np.abs(diff)) < 1e-12
+
+    def test_curvature_matches_differenced_connection(self):
+        n, h = 3, 1e-5
+        for point in self.POINTS[:3]:
+            flat = np.array(point.flat)
+
+            def connection_at(shift):
+                moved = flat + shift
+                return geo.connection(
+                    self.HAM, PhasePoint(x=tuple(moved[:n]), p=tuple(moved[n:]))
+                )
+
+            d_n = np.array(
+                [
+                    (connection_at(h * e) - connection_at(-h * e)) / (2 * h)
+                    for e in np.eye(2 * n)
+                ]
+            )
+            N = geo.connection(self.HAM, point)
+            delta_n = d_n[:n] + np.einsum("il,ljk->ijk", N, d_n[n:])
+            expected = delta_n - delta_n.transpose(1, 0, 2)
+            np.testing.assert_allclose(
+                geo.curvature(self.HAM, point), expected, atol=1e-8
+            )
+
+
 class TestNonHorizontalFlow:
     HAM = HamiltonianSpec.from_text("drifted", 2, "0.5*(p1^2+p2^2)+x1*p1")
     POINT = PhasePoint(x=(1.0, 0.5), p=(0.7, 1.1))
