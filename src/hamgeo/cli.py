@@ -6,7 +6,8 @@ base fields, Newtonoid completions of full fields), ``integrate``
 (fixed-step runs with drift tables), and ``selftest`` (the built-in
 acceptance checks).
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 manifest problem,
+Exit codes: 0 all checks passed, 1 a check failed, 2 manifest problem
+(including a named or sampled point outside an expression's domain),
 3 regularity failure (the metric was numerically singular at a named
 point; the message carries the condition estimate).
 
@@ -32,7 +33,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import geometry as geo
 from . import symmetry as sym
-from .errors import ManifestError, RegularityError
+from .errors import EvaluationError, ManifestError, RegularityError
 from .expr import Const, VectorFieldSpec, to_text
 from .manifest import Manifest, load_manifest
 from .selftest import result_lines, run_checks
@@ -68,16 +69,22 @@ class _RegularityExit(Exception):
     """Internal: a regularity failure already formatted for the user."""
 
 
+class _DomainExit(Exception):
+    """Internal: a domain error at a point, already formatted for the user."""
+
+
 @contextmanager
-def _regular_at(label: str, point):
-    """Turn a regularity failure inside the block into a :class:`_RegularityExit`
-    that names the point."""
+def _at_point(label: str, point):
+    """Turn a regularity failure inside the block into a :class:`_RegularityExit`,
+    and a domain error (an expression evaluated where it is undefined) into
+    a :class:`_DomainExit`; both messages name the point."""
+    where = f"{label} at {_vector_text(point.flat)}"
     try:
         yield
     except RegularityError as exc:
-        raise _RegularityExit(
-            f"{label} at {_vector_text(point.flat)}: {exc}"
-        ) from exc
+        raise _RegularityExit(f"{where}: {exc}") from exc
+    except EvaluationError as exc:
+        raise _DomainExit(f"{where}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -148,7 +155,7 @@ def _verdict(report, check, subject, value, tolerance, passed) -> bool:
 def _cmd_report(manifest: Manifest, args, report: dict) -> int:
     tol = manifest.tolerance("horizontality", args.tol_scale)
     for name, point in _pick(manifest.points, args.points, "point"):
-        with _regular_at(f"point {name!r}", point):
+        with _at_point(f"point {name!r}", point):
             block = geo.geometry_report(manifest.hamiltonian, point, tol)
 
         print(
@@ -246,13 +253,13 @@ def _cmd_symmetry(manifest: Manifest, args, report: dict) -> int:
         print(f"field {name!r} ({kind}):")
         block = {"kind": kind, "notions": {}}
         for label, tol, measure in notions:
-            worst = -1.0
-            worst_point = None
+            values = []
             for point in points:
-                with _regular_at("sample point", point):
-                    value = measure(full, point)
-                if value > worst:
-                    worst, worst_point = value, point
+                with _at_point("sample point", point):
+                    values.append(measure(full, point))
+            # the first largest value, where a NaN residual counts as largest
+            k = int(np.argmax(values))
+            worst, worst_point = values[k], points[k]
             passed = worst <= tol
             all_passed &= passed
             status = "PASS" if passed else "FAIL"
@@ -287,7 +294,7 @@ def _cmd_lift(manifest: Manifest, args, report: dict) -> int:
             print(f"field {name!r} (full): Newtonoid completion")
             block = {"kind": "full", "lift_at_points": {}}
             for pname, point in manifest.points.items():
-                with _regular_at(f"point {pname!r}", point):
+                with _at_point(f"point {pname!r}", point):
                     values, vertical = sym.newtonoid_lift(
                         ham, field.x_components, point
                     )
@@ -299,11 +306,13 @@ def _cmd_lift(manifest: Manifest, args, report: dict) -> int:
                     "x": values.tolist(),
                     "vertical": vertical.tolist(),
                 }
-            worst = 0.0
+            residuals = []
             for pt in points:
-                with _regular_at("sample point", pt):
-                    residual = sym.newtonoid_invariant_residual(ham, field, pt)
-                worst = max(worst, float(np.max(np.abs(residual))))
+                with _at_point("sample point", pt):
+                    residuals.append(
+                        sym.newtonoid_invariant_residual(ham, field, pt)
+                    )
+            worst = float(np.max(np.abs(residuals)))
             passed = worst <= invariant_tol
             status = "PASS" if passed else "FAIL"
             print(
@@ -324,13 +333,13 @@ def _cmd_lift(manifest: Manifest, args, report: dict) -> int:
                 print(f"  d/dx{i + 1} coefficient: {to_text(comp)}")
             for i, comp in enumerate(lift.p_components):
                 print(f"  d/dp{i + 1} coefficient: {to_text(comp)}")
-            worst_theta = max(
-                float(np.max(np.abs(sym.liouville_residual(lift, pt))))
-                for pt in points
-            )
-            worst_xh = max(
-                abs(sym.noether_residual(ham, lift, pt)[1]) for pt in points
-            )
+            thetas, xhs = [], []
+            for pt in points:
+                with _at_point("sample point", pt):
+                    thetas.append(sym.liouville_residual(lift, pt))
+                    xhs.append(sym.noether_residual(ham, lift, pt)[1])
+            worst_theta = float(np.max(np.abs(thetas)))
+            worst_xh = float(np.max(np.abs(xhs)))
             passed = worst_theta <= theta_tol
             status = "PASS" if passed else "FAIL"
             print(
@@ -338,10 +347,10 @@ def _cmd_lift(manifest: Manifest, args, report: dict) -> int:
                 f"(max |residual| = {worst_theta:.6e}, tol {theta_tol:g})"
             )
             print(f"  max |X(H)| over samples: {worst_xh:.6e}")
-            momentum = {
-                pname: sym.momentum_map(field, point)
-                for pname, point in manifest.points.items()
-            }
+            momentum = {}
+            for pname, point in manifest.points.items():
+                with _at_point(f"point {pname!r}", point):
+                    momentum[pname] = sym.momentum_map(field, point)
             for pname, value in momentum.items():
                 print(f"  momentum map at {pname!r}: {_num(value)}")
             block = {
@@ -373,14 +382,19 @@ def _cmd_integrate(manifest: Manifest, args, report: dict) -> int:
         trajectory = dyn.integrate_rk4(
             manifest.hamiltonian, run.start, run.dt, run.steps, run.watch
         )
-        drift = dyn.drift_report(trajectory)
-        completed = len(trajectory.times) - 1
+        if trajectory.times:
+            drift = dyn.drift_report(trajectory)
+            completed = len(trajectory.times) - 1
+            final_time = trajectory.times[-1]
+            final_state = trajectory.states[-1]
+        else:
+            # the start state itself could not be sampled
+            drift, completed, final_time, final_state = {}, 0, 0.0, run.start
         print(
             f"run {name!r}: dt = {_num(run.dt)}, "
-            f"{completed}/{run.steps} steps, final time {_num(trajectory.times[-1])}"
+            f"{completed}/{run.steps} steps, final time {_num(final_time)}"
         )
-        h_drift = drift["H"][1]
-        h_passed = h_drift <= drift_tol
+        h_passed = bool(drift) and drift["H"][1] <= drift_tol
         for wname, (initial, max_drift) in drift.items():
             note = ""
             if wname == "H":
@@ -401,8 +415,8 @@ def _cmd_integrate(manifest: Manifest, args, report: dict) -> int:
             "dt": run.dt,
             "requested_steps": run.steps,
             "completed_steps": completed,
-            "final_time": trajectory.times[-1],
-            "final_state": list(trajectory.states[-1].flat),
+            "final_time": final_time,
+            "final_state": list(final_state.flat),
             "blew_up": trajectory.blew_up,
             "domain_error": trajectory.domain_error,
             "drift": {
@@ -410,7 +424,11 @@ def _cmd_integrate(manifest: Manifest, args, report: dict) -> int:
                 for wname, (initial, max_drift) in drift.items()
             },
         }
-        _verdict(report, "energy-drift", f"run:{name}", h_drift, drift_tol, h_passed)
+        if drift:
+            _verdict(
+                report, "energy-drift", f"run:{name}",
+                drift["H"][1], drift_tol, h_passed,
+            )
         completed_ok = _verdict(
             report, "completed", f"run:{name}",
             completed, None, not trajectory.truncated,
@@ -563,6 +581,9 @@ def main(argv: Optional[list] = None) -> int:
                 code = _cmd_integrate(manifest, args, report)
     except ManifestError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
+        return _EXIT_MANIFEST_ERROR
+    except _DomainExit as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
         return _EXIT_MANIFEST_ERROR
     except _RegularityExit as exc:
         print(f"regularity error: {exc}", file=sys.stderr)

@@ -5,10 +5,11 @@ right-hand sides, chosen so drift numbers are deterministic.  Watched
 scalar expressions (the Hamiltonian always included) are sampled at every
 accepted state; conservation shows up as bounded drift.
 
-Failure modes are flags, not exceptions: a state escaping the guard radius
-sets ``blew_up``, an expression domain violation mid-flight sets
-``domain_error``, and in both cases the partial trajectory up to the last
-good state is returned.
+Failure modes are flags, not exceptions: a state escaping the guard radius,
+or a watched expression overflowing, sets ``blew_up``; an expression domain
+violation mid-flight sets ``domain_error``.  In both cases the partial
+trajectory up to the last good state is returned, which is empty when the
+start state itself cannot be sampled.
 """
 
 from __future__ import annotations
@@ -138,12 +139,15 @@ def integrate_rk4(
     domain_error = None
 
     def accept(t, flat) -> bool:
+        nonlocal blew_up, domain_error
         row = {}
         for name, probe in probes.items():
             try:
                 row[name] = probe(*flat)
+            except OverflowError:
+                blew_up = True
+                return False
             except (ValueError, ZeroDivisionError) as exc:
-                nonlocal domain_error
                 domain_error = f"sampling {name!r}: {exc}"
                 return False
         times.append(t)

@@ -8,13 +8,13 @@ connection coefficients, together with the residuals of the tensor
 identities those objects satisfy.
 
 All derivatives of H come from one nested-jet evaluation per
-(Hamiltonian, point) pair, an order-3 jet whose coefficients are order-1
-jets.  It is unpacked at once into dense float tensors: the gradient, the
-Hessian, the third derivatives and the fourth derivatives
-d4H/dp_i dp_j dz dw.  Every other object is a closed-form tensor formula
-in those, evaluated with ``einsum`` and ``@``; the derivatives of the
-metric follow from d(G^-1) = -G^-1 dG G^-1, so they are exact, never
-finite differences.
+(Hamiltonian, point) pair, an order-3 jet whose coefficients are float
+lanes: values plus order-1 slopes.  Their dense float arrays are read off
+at once: the gradient, the Hessian, the third derivatives and, from the
+slopes of the third, the fourth derivatives d4H/dp_i dp_j dz dw.  Every
+other object is a closed-form tensor formula in those, evaluated with
+``einsum`` and ``@``; the derivatives of the metric follow from
+d(G^-1) = -G^-1 dG G^-1, so they are exact, never finite differences.
 
 Index conventions (0-based slots): x^i is slot i, p_i is slot n+i.
 A[k][j] = d2H/dp_k dx^j, B[i][j] = d2H/dx^i dx^j, G[i][j] = d2H/dp_i dp_j,
@@ -29,9 +29,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, HorizontalityError, RegularityError
+from .errors import (
+    DimensionError,
+    EvaluationError,
+    HorizontalityError,
+    RegularityError,
+)
 from .expr import Expression, HamiltonianSpec, VectorFieldSpec
-from .jets import Jet, jet_lift, nested_jet_lift
+from .jets import jet_lift, nested_jet_lift
 from .phase import PhasePoint
 
 __all__ = [
@@ -69,23 +74,6 @@ def _rcond(matrix: np.ndarray) -> float:
     return float(singular_values[-1]) / top
 
 
-def _lanes(coeffs: np.ndarray, m: int):
-    """Float value and slope lanes of dense nested-jet coefficients.
-
-    Each entry is an order-1 inner jet, or a plain float where the inner
-    jet is constant; slopes get one trailing axis of length m.
-    """
-    values = np.empty(coeffs.shape)
-    slopes = np.zeros(coeffs.shape + (m,))
-    for idx, entry in np.ndenumerate(coeffs):
-        if isinstance(entry, Jet):
-            values[idx] = entry.c0
-            slopes[idx] = entry.c1
-        else:
-            values[idx] = entry
-    return values, slopes
-
-
 def _inverse_derivatives(inv: np.ndarray, d_mat: np.ndarray) -> np.ndarray:
     """d(M^-1)[z] = -M^-1 dM[z] M^-1 for stacked slopes dM[z]."""
     return -(inv @ d_mat @ inv)
@@ -98,7 +86,8 @@ def _inverse_derivatives(inv: np.ndarray, d_mat: np.ndarray) -> np.ndarray:
 class _Workspace:
     """All tensors of one Hamiltonian at one point.
 
-    The derivative tensors of H are unpacked once, at construction; every
+    The derivative tensors of H are unpacked once, at construction, which
+    raises :class:`EvaluationError` if any of them is not finite; every
     geometric object is a cached float formula in them.
     """
 
@@ -110,12 +99,21 @@ class _Workspace:
         self.ham = ham
         self.point = point
         n = self.n = ham.dim
-        m = self.m = 2 * ham.dim
+        self.m = 2 * ham.dim
 
-        nested = nested_jet_lift(ham.expr, point)
-        grad, _ = _lanes(nested.dense(1), m)
-        hess, _ = _lanes(nested.dense(2), m)
-        third, fourth = _lanes(nested.dense(3), m)
+        lift = nested_jet_lift(ham.expr, point)
+        if not all(
+            np.isfinite(t).all()
+            for t in (lift.c1.v, lift.c2.v, lift.c3.v, lift.c3.d)
+        ):
+            raise EvaluationError(
+                f"derivatives of {ham.name!r} up to order 4 are not finite "
+                f"at {point}"
+            )
+        grad = lift.dense(1).v
+        hess = lift.dense(2).v
+        top = lift.dense(3)
+        third, fourth = top.v, top.d
 
         #: (xi^1..xi^n, chi_1..chi_n) = (dH/dp, -dH/dx) and its slopes
         #: dflow[z][a] = d flow_a / d(slot z)
@@ -258,7 +256,13 @@ class _Workspace:
         )
 
 
-@lru_cache(maxsize=None)
+#: Workspaces kept per process, least recently used evicted first: ten
+#: times a shipped 100-point sample cloud, which the CLI revisits once per
+#: (field, notion), while a long sweep over fresh points stays bounded.
+_WORKSPACE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_WORKSPACE_CACHE_SIZE)
 def _workspace(ham: HamiltonianSpec, point: PhasePoint) -> _Workspace:
     return _Workspace(ham, point)
 

@@ -9,11 +9,12 @@ ordering (x1..xn, p1..pn), so m = 2n.
 Coefficients are stored once per unordered multi-index, which makes
 permutation symmetry of :meth:`Jet.partial` exact by construction.
 
-Coefficient arrays are usually float, but they may hold arbitrary scalar
-objects, including other jets.  Evaluating an expression over jets whose
-values are themselves order-1 jets yields, after extraction, exact
-derivatives one order beyond the outer truncation; the geometry layer reads
-the Hamiltonian's fourth derivatives from the slopes of the order-3
+Coefficients are float arrays, or float *lanes*: a lane carries values of
+some shape S together with their order-1 slopes (shape S + (m,)), so one
+lane is a whole array of order-1 jets stored as two dense float arrays.
+Evaluating an expression over jets whose coefficients are lanes yields
+exact derivatives one order beyond the outer truncation; the geometry layer
+reads the Hamiltonian's fourth derivatives from the slopes of the order-3
 coefficients.
 
 Instances are immutable by convention: coefficient arrays are never
@@ -105,11 +106,171 @@ def _tables(m: int) -> _Tables:
     return tab
 
 
-def _leading_float(v) -> float:
-    """Descend through nested jets to the underlying float value."""
-    while isinstance(v, Jet):
-        v = v.c0
-    return float(v)
+def _col(values):
+    """Values shaped to broadcast against their slopes."""
+    return values[..., None] if isinstance(values, np.ndarray) else values
+
+
+def _fit(slopes: np.ndarray, values) -> np.ndarray:
+    """Slopes broadcast to the shape of the values they belong to."""
+    shape = np.shape(values) + slopes.shape[-1:]
+    return slopes if slopes.shape == shape else np.broadcast_to(slopes, shape)
+
+
+class _Lane:
+    """An array of order-1 jets: values ``v`` (shape S), slopes ``d`` (S + (m,)).
+
+    ``d`` is None for a lane of constants.  Every operation performs,
+    element by element, exactly the float operations of the order-1
+    :class:`Jet` rule it stands for (a constant taking the float branch),
+    so a lane reproduces the inner jets of a nested lift bit for bit.
+    Elementary functions apply to single-element lanes only, which is all
+    the outer jet rules ask of them.
+    """
+
+    __slots__ = ("v", "d")
+    #: keep numpy from treating a lane as an object scalar
+    __array_ufunc__ = None
+
+    def __init__(self, v, d):
+        self.v = v
+        self.d = d
+
+    @staticmethod
+    def _of(other):
+        if isinstance(other, _Lane):
+            return other
+        if isinstance(other, (int, float, np.ndarray)):
+            return _Lane(other, None)
+        return None
+
+    @property
+    def c0(self):
+        return self.v
+
+    @property
+    def c1(self):
+        return self.d
+
+    def __repr__(self):
+        return f"_Lane(v={self.v!r}, d={self.d!r})"
+
+    def __float__(self):
+        return float(self.v)
+
+    def __getitem__(self, idx) -> "_Lane":
+        return _Lane(self.v[idx], None if self.d is None else self.d[idx])
+
+    def __neg__(self) -> "_Lane":
+        return _Lane(-self.v, None if self.d is None else -self.d)
+
+    def __add__(self, other):
+        o = _Lane._of(other)
+        if o is None:
+            return NotImplemented
+        v = self.v + o.v
+        if o.d is None:
+            d = self.d if self.d is None else _fit(self.d, v)
+        elif self.d is None:
+            d = _fit(o.d, v)
+        else:
+            d = self.d + o.d
+        return _Lane(v, d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = _Lane._of(other)
+        if o is None:
+            return NotImplemented
+        v = self.v - o.v
+        if o.d is None:
+            d = self.d if self.d is None else _fit(self.d, v)
+        elif self.d is None:
+            d = _fit(-o.d, v)
+        else:
+            d = self.d - o.d
+        return _Lane(v, d)
+
+    def __rsub__(self, other):
+        o = _Lane._of(other)
+        return NotImplemented if o is None else o - self
+
+    def __mul__(self, other):
+        o = _Lane._of(other)
+        if o is None:
+            return NotImplemented
+        if self.d is None:
+            d = None if o.d is None else o.d * _col(self.v)
+        elif o.d is None:
+            d = self.d * _col(o.v)
+        else:
+            d = self.d * _col(o.v) + o.d * _col(self.v)
+        return _Lane(self.v * o.v, d)
+
+    __rmul__ = __mul__
+
+    @staticmethod
+    def _divide(numer: "_Lane", denom: "_Lane") -> "_Lane":
+        """Quotient rule of :meth:`Jet._divide` at order 1."""
+        if np.any(denom.v == 0.0):
+            raise EvaluationError("division by zero")
+        q = numer.v / denom.v
+        if denom.d is None:
+            d = None if numer.d is None else numer.d / _col(denom.v)
+        elif numer.d is None:
+            d = denom.d * _col(-q) / _col(denom.v)
+        else:
+            d = (numer.d - denom.d * _col(q)) / _col(denom.v)
+        return _Lane(q, d)
+
+    def __truediv__(self, other):
+        o = _Lane._of(other)
+        return NotImplemented if o is None else _Lane._divide(self, o)
+
+    def __rtruediv__(self, other):
+        o = _Lane._of(other)
+        return NotImplemented if o is None else _Lane._divide(o, self)
+
+    def divide_into(self, numer):
+        """Hook for :func:`hamgeo.scalars.divide`: returns numer / self."""
+        return _Lane._divide(_Lane._of(numer), self)
+
+    # -- elementary functions: value d0 and slope factor d1 at float(v) ------
+
+    def _chain(self, d0: float, d1: float) -> "_Lane":
+        return _Lane(d0, None if self.d is None else self.d * d1)
+
+    def sin(self) -> "_Lane":
+        u = float(self)
+        return self._chain(scalars.sin(u), scalars.cos(u))
+
+    def cos(self) -> "_Lane":
+        u = float(self)
+        return self._chain(scalars.cos(u), -scalars.sin(u))
+
+    def exp(self) -> "_Lane":
+        e = scalars.exp(float(self))
+        return self._chain(e, e)
+
+    def ln(self) -> "_Lane":
+        u = float(self)
+        return self._chain(scalars.ln(u), scalars.divide(1.0, u))
+
+    def sqrt(self) -> "_Lane":
+        u = float(self)
+        d0 = scalars.sqrt(u)
+        return self._chain(d0, d0 * scalars.divide(1.0, u) * 0.5)
+
+    def pow_float(self, exponent: float) -> "_Lane":
+        u = float(self)
+        if u <= 0.0:
+            raise EvaluationError(
+                f"power of non-positive base {u!r} "
+                f"with non-integer exponent {exponent!r}"
+            )
+        d0 = scalars.power(u, exponent)
+        return self._chain(d0, d0 * scalars.divide(1.0, u) * exponent)
 
 
 class Jet:
@@ -418,9 +579,9 @@ class Jet:
 
     def pow_float(self, exponent: float) -> "Jet":
         """Power rule for a non-integer constant exponent (base must be > 0)."""
-        if _leading_float(self.c0) <= 0.0:
+        if float(self.c0) <= 0.0:
             raise EvaluationError(
-                f"power of non-positive base {self.c0!r} "
+                f"power of non-positive base {float(self.c0)!r} "
                 f"with non-integer exponent {exponent!r}"
             )
         d0 = scalars.power(self.c0, exponent)
@@ -449,30 +610,42 @@ def jet_lift(expr: Expression, point: PhasePoint, order: int = 3) -> Jet:
 
 
 def nested_jet_lift(expr: Expression, point: PhasePoint, outer_order: int = 3) -> Jet:
-    """Evaluate over order-``outer_order`` jets whose values are order-1 jets.
+    """Evaluate over order-``outer_order`` jets whose coefficients are lanes.
 
     The outer coefficient at multi-index alpha is then the order-1 jet of
-    the function z -> (d_alpha expr)(z): its value is the plain partial and
-    its gradient holds the partials one order higher.  With the default
-    outer order 3 this exposes exact fourth derivatives.
+    the function z -> (d_alpha expr)(z): its value (``.c0``) is the plain
+    partial and its slopes (``.c1``) hold the partials one order higher.
+    With the default outer order 3 this exposes exact fourth derivatives.
+    Every coefficient of the result carries dense float slopes.
     """
     if not 1 <= outer_order <= 3:
         raise ValueError(f"outer order must be in 1..3, got {outer_order}")
     flat = point.flat
     m = len(flat)
     tab = _tables(m)
+    sizes = (m, tab.n2, tab.n3)[:outer_order]
     seeds = []
     for s in range(m):
-        inner = Jet.variable(s, flat[s], m, 1)
-        c1 = np.full(m, 0.0, dtype=object)
-        c1[s] = 1.0
-        c2 = np.full(tab.n2, 0.0, dtype=object) if outer_order >= 2 else None
-        c3 = np.full(tab.n3, 0.0, dtype=object) if outer_order >= 3 else None
-        seeds.append(Jet(m, outer_order, inner, c1, c2, c3))
-    result = evaluate(expr, seeds)
+        unit = np.zeros(m)
+        unit[s] = 1.0
+        coeffs = [_Lane(unit, None)]
+        coeffs += [_Lane(np.zeros(size), None) for size in sizes[1:]]
+        seeds.append(Jet(m, outer_order, _Lane(float(flat[s]), unit), *coeffs))
+    # lanes overflow to inf and nan silently, as Python floats do
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = evaluate(expr, seeds)
     if not isinstance(result, Jet):
-        result = Jet.constant(float(result), m, outer_order)
-    return result
+        result = Jet(
+            m, outer_order, _Lane(float(result), None),
+            *[_Lane(np.zeros(size), None) for size in sizes],
+        )
+    lanes = [result.c0, result.c1, result.c2, result.c3][: outer_order + 1]
+    lanes = [
+        lane if lane.d is not None
+        else _Lane(lane.v, np.zeros(np.shape(lane.v) + (m,)))
+        for lane in lanes
+    ]
+    return Jet(m, outer_order, *lanes)
 
 
 # --------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Expression evaluation is generic over any scalar type that supports the
 arithmetic operators plus the elementary functions below.  Floats take the
 ``math`` fast path; any object exposing a method of the same name (jets,
-including jets whose coefficients are themselves jets) is dispatched to it.
-That duck typing is what lets one evaluator serve plain numbers, first
-order jets and nested jets alike.
+and the float lanes that serve as the coefficients of nested jets) is
+dispatched to it.  That duck typing is what lets one evaluator serve plain
+numbers, plain jets and nested jets.
 
 All domain checks raise :class:`~hamgeo.errors.EvaluationError` so callers
 see one exception type regardless of the scalar algebra in use.

@@ -1,8 +1,14 @@
 """Command-line behavior: tables, exit codes, JSON reports, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamgeo.cli import CONVENTIONS, main
 
@@ -273,6 +279,102 @@ class TestSingularSamplePoints:
         assert "condition" in err
 
 
+class TestDomainErrors:
+    """An expression undefined at a named or sampled point is a manifest
+    problem (exit 2) whose message names the point, not a traceback."""
+
+    MANIFEST = {
+        "dim": 1,
+        "hamiltonian": "0.5*p1^2 + ln(x1)",
+        "points": {"bad": [-1.0, 1.0]},
+        "fields": {"shift": {"x": ["1"], "p": ["0"]}, "grow": {"base": ["x1"]}},
+        "sampling": {"x_box": [[-1.0, 1.0]], "p_box": [[0.5, 1.0]], "count": 4},
+    }
+
+    def test_report_exits_2_naming_the_point(self, tmp_path, capsys):
+        path = write_manifest(tmp_path, self.MANIFEST)
+        assert main(["report", "--manifest", path]) == 2
+        err = capsys.readouterr().err
+        assert "domain error: point 'bad' at (-1, 1)" in err
+        assert "ln of non-positive" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["symmetry"], ["lift", "grow"]],
+        ids=["symmetry", "lift-base"],
+    )
+    def test_sample_cloud_exits_2_naming_the_point(self, argv, tmp_path, capsys):
+        doc = dict(self.MANIFEST, points={})
+        path = write_manifest(tmp_path, doc)
+        assert main(argv + ["--manifest", path]) == 2
+        err = capsys.readouterr().err
+        assert "domain error: sample point at (" in err
+        assert "ln of non-positive" in err
+
+    def test_lift_at_named_point_exits_2(self, tmp_path, capsys):
+        path = write_manifest(tmp_path, self.MANIFEST)
+        assert main(["lift", "shift", "--manifest", path]) == 2
+        assert "domain error: point 'bad' at (-1, 1)" in capsys.readouterr().err
+
+    def test_derivatives_that_overflow_exit_2(self, tmp_path, capsys):
+        # ln(x1) is defined at 1e-200, but its third derivative 2/x1^3 is not
+        doc = dict(self.MANIFEST, points={"tiny": [1e-200, 1.0]})
+        path = write_manifest(tmp_path, doc)
+        assert main(["report", "--manifest", path]) == 2
+        err = capsys.readouterr().err
+        assert "domain error: point 'tiny'" in err and "not finite" in err
+
+
+class TestNonFiniteResiduals:
+    """A residual that is NaN at a sample point fails its verdict; it is
+    neither dropped from the maximum nor a crash."""
+
+    MANIFEST = {
+        "dim": 1,
+        "hamiltonian": "p1^3",
+        "fields": {"shift": {"x": ["1"], "p": ["0"]}},
+        "sampling": {"x_box": [[0.5, 0.5]], "p_box": [[1e-200, 1e-200]], "count": 2},
+    }
+
+    @pytest.mark.parametrize("command", ["symmetry", "lift"])
+    def test_nan_residual_fails(self, command, tmp_path, capsys):
+        path = write_manifest(tmp_path, self.MANIFEST)
+        assert main([command, "--manifest", path]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  (max |residual| = nan" in out
+
+
+class TestRunsThatCannotStart:
+    """A run whose start state overflows or leaves a watch's domain is a
+    failed run with 0 completed steps (exit 1), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "hamiltonian, start, watch, status",
+        [
+            ("0.5*p1^2", [0.0, 1.0], {"big": "exp(1000*p1)"}, "BLOW-UP"),
+            ("0.5*p1^2 + exp(x1)", [800.0, 1.0], {}, "BLOW-UP"),
+            ("0.5*p1^2", [-1.0, 1.0], {"l": "ln(x1)"}, "DOMAIN ERROR"),
+        ],
+        ids=["watch-overflow", "hamiltonian-overflow", "watch-domain"],
+    )
+    def test_reports_zero_steps_and_exits_1(
+        self, hamiltonian, start, watch, status, tmp_path, capsys
+    ):
+        run = {"start": start, "dt": 0.01, "steps": 10, "watch": watch}
+        path = write_manifest(
+            tmp_path, {"dim": 1, "hamiltonian": hamiltonian, "runs": {"r": run}}
+        )
+        out_path = tmp_path / "out.json"
+        argv = ["integrate", "--manifest", path, "--json", str(out_path)]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "0/10 steps" in out and status in out
+        block = json.loads(out_path.read_text())["trajectories"]["r"]
+        assert block["completed_steps"] == 0
+        assert block["final_state"] == start
+        assert block["drift"] == {}
+
+
 def test_selftest_output_is_the_run_selftest_stream(capsys):
     import io
 
@@ -282,3 +384,63 @@ def test_selftest_output_is_the_run_selftest_stream(capsys):
     expected_code = run_selftest(stream=stream)
     assert main(["selftest"]) == expected_code
     assert capsys.readouterr().out == stream.getvalue()
+
+
+# --------------------------------------------------------------------------
+# every generated manifest ends in a documented exit code
+
+
+_HAMILTONIANS = [
+    "0.5*p1^2 + ln(x1)",
+    "0.5*p1^2*exp(x1) + sqrt(x1)",
+    "0.5*p1^2/x1",
+    "p1^3 + 1/x1",
+    "sqrt(1 + p1^2) + exp(3*x1)",
+]
+_FIELDS = [
+    {"x": ["1"], "p": ["0"]},
+    {"x": ["p1"], "p": ["1/x1"]},
+    {"x": ["sqrt(x1)"], "p": ["exp(p1)"]},
+    {"base": ["ln(x1)"]},
+    {"base": ["x1/(1 + x1)"]},
+]
+_WATCHES = ["ln(x1)", "sqrt(p1)", "1/x1", "exp(500*p1)", "x1/p1"]
+_coord = st.floats(min_value=-2.0, max_value=2.0)
+_width = st.floats(min_value=0.0, max_value=2.0)
+
+
+@st.composite
+def _manifests(draw):
+    x_low, p_low = draw(_coord), draw(_coord)
+    run = {
+        "start": "a",
+        "dt": draw(st.sampled_from([0.01, 0.1])),
+        "steps": draw(st.integers(min_value=1, max_value=50)),
+        "watch": {"w": draw(st.sampled_from(_WATCHES))},
+    }
+    return {
+        "dim": 1,
+        "hamiltonian": draw(st.sampled_from(_HAMILTONIANS)),
+        "points": {"a": [draw(_coord), draw(_coord)]},
+        "fields": {"f": draw(st.sampled_from(_FIELDS))},
+        "runs": {"r": run},
+        "sampling": {
+            "x_box": [[x_low, x_low + draw(_width)]],
+            "p_box": [[p_low, p_low + draw(_width)]],
+            "count": draw(st.integers(min_value=1, max_value=5)),
+            "seed": 7,
+        },
+    }
+
+
+@given(_manifests())
+@settings(max_examples=40, deadline=None)
+def test_generated_manifests_end_in_a_documented_exit_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_text(json.dumps(doc))
+        for command in ("report", "symmetry", "lift", "integrate"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, "--manifest", str(path)])
+            assert code in (0, 1, 2, 3), (command, code)

@@ -200,6 +200,35 @@ class TestFailureFlags:
     def test_guard_radius_is_documented_constant(self):
         assert dyn.BLOWUP_GUARD == 1e12
 
+    def test_watch_overflow_mid_run_sets_blowup_flag(self):
+        # p1 grows linearly; exp(1000*p1) overflows once p1 passes ~0.71
+        ham = HamiltonianSpec.from_text("push", 1, "0.5*p1^2-x1")
+        traj = dyn.integrate_rk4(
+            ham, PhasePoint((0.0,), (0.0,)), 0.1, 100,
+            {"big": parse("exp(1000*p1)", 1)},
+        )
+        assert traj.blew_up and traj.domain_error is None
+        assert 1 < len(traj.states) < 101
+        assert all(s.p[0] < 0.71 for s in traj.states)
+
+    def test_hamiltonian_overflow_at_start_gives_empty_blowup(self):
+        ham = HamiltonianSpec.from_text("steep", 1, "0.5*p1^2+exp(x1)")
+        traj = dyn.integrate_rk4(ham, PhasePoint((800.0,), (1.0,)), 0.01, 10, {})
+        assert traj.blew_up and traj.truncated
+        assert traj.times == () and traj.states == ()
+        assert traj.samples == {"H": ()}
+
+    def test_watch_domain_error_at_start_gives_empty_trajectory(self):
+        ham = HamiltonianSpec.from_text("free", 1, "0.5*p1^2")
+        traj = dyn.integrate_rk4(
+            ham, PhasePoint((-1.0,), (1.0,)), 0.01, 10, {"l": parse("ln(x1)", 1)}
+        )
+        assert not traj.blew_up
+        assert traj.domain_error.startswith("sampling 'l': ln of non-positive")
+        assert traj.times == ()
+        with pytest.raises(ValueError):
+            dyn.drift_report(traj)
+
 
 class TestValidation:
     def test_bad_step_sizes(self, worked_ham, base_point):

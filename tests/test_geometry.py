@@ -550,3 +550,10 @@ class TestRefusals:
         probe = VectorFieldSpec.from_text(1, ("p1",), ("0",))
         with pytest.raises(DimensionError):
             geo.nabla_vector_field(worked_ham, probe, base_point)
+
+
+def test_workspace_cache_is_bounded():
+    ham = HamiltonianSpec.from_text("cache-probe", 1, "0.5*(1+x1^2)*p1^2")
+    for k in range(1100):
+        geo.metric_rcond(ham, PhasePoint(x=(k * 1e-3,), p=(1.0,)))
+    assert geo._workspace.cache_info().currsize <= geo._WORKSPACE_CACHE_SIZE

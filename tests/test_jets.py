@@ -18,6 +18,7 @@ from hamgeo import (
     nested_jet_lift,
     parse,
 )
+from hamgeo.expr import Var, _differentiate
 from hamgeo.phase import sample_box
 
 # Corpus for oracle comparisons.  The finite-difference oracle uses fixed
@@ -161,6 +162,74 @@ def test_nested_fourth_derivatives(worked_ham, base_point):
     germ = nested.partial((0, 0, 2))
     assert germ.c1[2] == 2.0
     assert germ.c1[3] == 0.0
+
+
+def _object_nested_lift(expr, pt):
+    """The nested lift over object arrays holding order-1 jets: the
+    element-by-element construction that float lanes replace."""
+    flat = pt.flat
+    m = len(flat)
+    seeds = []
+    for s in range(m):
+        c1 = np.full(m, 0.0, dtype=object)
+        c1[s] = 1.0
+        c2 = np.full(m * (m + 1) // 2, 0.0, dtype=object)
+        c3 = np.full(m * (m + 1) * (m + 2) // 6, 0.0, dtype=object)
+        seeds.append(Jet(m, 3, Jet.variable(s, flat[s], m, 1), c1, c2, c3))
+    return evaluate(expr, seeds)
+
+
+def _split(entries, m):
+    """Value and slope arrays of order-1 jets and plain floats (slope 0)."""
+    entries = np.atleast_1d(np.asarray(entries, dtype=object))
+    values = np.array([e.c0 if isinstance(e, Jet) else e for e in entries], float)
+    slopes = np.array(
+        [e.c1 if isinstance(e, Jet) else np.zeros(m) for e in entries], float
+    )
+    return values, slopes
+
+
+# the object-array reference cannot take non-integer powers: its outer
+# domain check needs the float value of an inner jet
+_INTEGER_POWER_CORPUS = [text for text in CORPUS if "^1.5" not in text]
+
+
+@pytest.mark.parametrize("text", _INTEGER_POWER_CORPUS)
+def test_lanes_reproduce_object_nested_jets_bitwise(text):
+    expr = parse(text, dim=2)
+    for pt in POINTS[:5]:
+        lanes = nested_jet_lift(expr, pt)
+        reference = _object_nested_lift(expr, pt)
+        for name in ("c0", "c1", "c2", "c3"):
+            lane = getattr(lanes, name)
+            values, slopes = _split(getattr(reference, name), 4)
+            got_slopes = np.reshape(lane.d, slopes.shape)
+            assert np.atleast_1d(lane.v).tobytes() == values.tobytes(), name
+            assert got_slopes.tobytes() == slopes.tobytes(), name
+
+
+def test_nested_fourth_derivatives_match_symbolic_derivatives():
+    """The slopes of the nested lift against plain lifts of the tree
+    derivatives, over the whole corpus: partial(alpha).c1[z] is
+    d_z d_alpha expr for every |alpha| <= 3."""
+    failures = []
+    for text in CORPUS:
+        expr = parse(text, dim=2)
+        slopes = [
+            _differentiate(expr, Var(kind, index))
+            for kind in ("x", "p")
+            for index in (1, 2)
+        ]
+        for pt in POINTS:
+            nested = nested_jet_lift(expr, pt)
+            plain = [jet_lift(d_expr, pt) for d_expr in slopes]
+            for multi in MULTIS:
+                germ = nested.partial(multi)
+                for z, jet in enumerate(plain):
+                    got, want = float(germ.c1[z]), float(jet.partial(multi))
+                    if abs(got - want) > 1e-10 * max(abs(got), abs(want)):
+                        failures.append((text, pt, multi, z, got, want))
+    assert not failures, failures[:5]
 
 
 # --------------------------------------------------------------------------
